@@ -8,6 +8,12 @@
 //! grid engines and reports sustained arrival throughput (tuples/second)
 //! plus per-tick latency (worst and median tick, µs).
 //!
+//! The **cold-start** scenarios (engines `tma-cold` / `sma-cold`) run the
+//! steady-state workload in the serving layer's usual start order: the
+//! queries register on an empty window, which then fills tick by tick at
+//! the arrival rate before the clock starts. They pin the growth resync
+//! that brings such queries to the cost of warm registrations.
+//!
 //! Besides the steady-state scenarios, an **expiry-heavy recompute**
 //! scenario (engines `tma-rec` / `sma-rec`) shrinks the window to twice
 //! the burst size: half the window turns over every tick, result tuples
@@ -324,10 +330,12 @@ fn debug_tick(i: usize, us: f64, last: &EngineStats, now: &EngineStats) {
 /// Drives one engine through warm-up, registration and the measured burst
 /// replay; generic over the two grid monitors. `probe` reads the engine's
 /// cumulative recompute-queries counter so the measured loop can track the
-/// per-tick peak.
+/// per-tick peak. With `cold` the queries register before the first tick
+/// and the window fills at the arrival rate.
 fn run_scenario<M>(
     cfg: &ReplayConfig,
     q: usize,
+    cold: bool,
     mut register: impl FnMut(&mut M, QueryId, Query),
     mut tick: impl FnMut(&mut M, Timestamp, &[f64]),
     probe: impl Fn(&M) -> EngineStats,
@@ -337,21 +345,33 @@ fn run_scenario<M>(
         .expect("dims")
         .workload(q);
     let mut stream = StreamSim::new(cfg.dims, DataDist::Ind, cfg.r, cfg.seed).expect("dims");
+    let register_all = |monitor: &mut M| {
+        for (i, f) in workload.into_iter().enumerate() {
+            register(
+                monitor,
+                QueryId(i as u64),
+                Query::top_k(f, cfg.k).expect("k"),
+            );
+        }
+    };
 
-    // Warm the window to steady-state density before registering queries.
-    let mut remaining = cfg.n;
-    while remaining > 0 {
-        let chunk = remaining.min(50_000);
-        let (ts, batch) = stream.warmup_batch(chunk);
-        tick(monitor, ts, batch);
-        remaining -= chunk;
-    }
-    for (i, f) in workload.into_iter().enumerate() {
-        register(
-            monitor,
-            QueryId(i as u64),
-            Query::top_k(f, cfg.k).expect("k"),
-        );
+    if cold {
+        // Register on the empty window, then fill it at the arrival rate.
+        register_all(monitor);
+        for _ in 0..cfg.n.div_ceil(cfg.r) {
+            let (ts, batch) = stream.next_batch();
+            tick(monitor, ts, batch);
+        }
+    } else {
+        // Warm the window to steady-state density before registering.
+        let mut remaining = cfg.n;
+        while remaining > 0 {
+            let chunk = remaining.min(50_000);
+            let (ts, batch) = stream.warmup_batch(chunk);
+            tick(monitor, ts, batch);
+            remaining -= chunk;
+        }
+        register_all(monitor);
     }
     // Settle into steady state before the clock starts.
     for _ in 0..cfg.warm_ticks {
@@ -485,6 +505,7 @@ fn run_all(
     cfg: &ReplayConfig,
     tma_label: &'static str,
     sma_label: &'static str,
+    cold: bool,
 ) -> Vec<ScenarioResult> {
     let mut out = Vec::new();
     for q in QUERY_COUNTS {
@@ -497,6 +518,7 @@ fn run_all(
         let m = run_scenario(
             cfg,
             q,
+            cold,
             |m, id, query| m.register_query(id, query).expect("register"),
             |m, ts, b| {
                 m.tick(ts, b).expect("tick");
@@ -515,6 +537,7 @@ fn run_all(
         let m = run_scenario(
             cfg,
             q,
+            cold,
             |m, id, query| m.register_query(id, query).expect("register"),
             |m, ts, b| {
                 m.tick(ts, b).expect("tick");
@@ -828,11 +851,13 @@ fn main() {
 
     let mut results = Vec::new();
     if !recompute_only {
-        results.extend(run_all(&cfg, "tma", "sma"));
+        results.extend(run_all(&cfg, "tma", "sma", false));
+        // Cold start: queries registered before the first tick.
+        results.extend(run_all(&cfg, "tma-cold", "sma-cold", true));
     }
     if recompute_only || smoke {
         // Expiry-heavy: stresses the full-recomputation path.
-        results.extend(run_all(&rec_cfg, "tma-rec", "sma-rec"));
+        results.extend(run_all(&rec_cfg, "tma-rec", "sma-rec", false));
     }
     if burst_mode {
         // Recompute storm: synchronized expiry waves.

@@ -409,6 +409,7 @@ pub fn compute_topk_group(
         popped,
         runs,
         active,
+        gone,
         ..
     } = scratch;
     runs.clear();
@@ -528,31 +529,48 @@ pub fn compute_topk_group(
     // previously-listed bound may carry stale entries that the frontier
     // walk (seeded strictly below every threshold) cannot reach — remove
     // them here.
-    for r in runs.iter() {
+    //
+    // Superset-keeping members only insert. Pop keys are non-increasing
+    // and, while a member is active, upper-bound its cell bound; every
+    // cell with bound ≥ the member's final threshold pops (with key ≥
+    // that bound) before the member retires. So once the key drops below
+    // the threshold no later cell can need an insert.
+    for r in runs.iter().filter(|r| r.m.keep_superset) {
         let t_final = r.top.threshold();
         for &(key, cell) in popped.iter() {
-            // Pop keys are non-increasing and, while a member is active,
-            // upper-bound its cell bound; every cell with bound ≥ the
-            // member's final threshold pops (with key ≥ that bound)
-            // before the member retires. So once the key drops below the
-            // threshold no later cell can need an insert — a
-            // superset-keeping member (no removals) is finished. A
-            // resyncing member keeps scanning: cells popped after it
-            // retired can carry stale entries at keys the bound no longer
-            // dominates, and a missed removal would strand an influence
-            // entry that the frontier walk (blocked by this epoch's
-            // stamps) can never reach.
-            if r.m.keep_superset && key < t_final {
+            if key < t_final {
                 break;
             }
             let (lo, hi) = grid.cell_lo_hi(cell);
             let b = kernel::cell_bound(&r.m.f, lo, hi);
-            if b >= t_final {
-                if b <= r.m.listed_above {
-                    influence.insert(cell, r.m.slot);
+            if b >= t_final && b <= r.m.listed_above {
+                influence.insert(cell, r.m.slot);
+            }
+        }
+    }
+    // Resyncing members scan the whole envelope: cells popped after one
+    // retired can carry stale entries at keys its bound no longer
+    // dominates, and a missed removal would strand an influence entry
+    // that the frontier walk (blocked by this epoch's stamps) can never
+    // reach. A cell's leaving members go in one sweep of its list.
+    if runs.iter().any(|r| !r.m.keep_superset) {
+        for &(_, cell) in popped.iter() {
+            let (lo, hi) = grid.cell_lo_hi(cell);
+            gone.clear();
+            for r in runs.iter().filter(|r| !r.m.keep_superset) {
+                let t_final = r.top.threshold();
+                let b = kernel::cell_bound(&r.m.f, lo, hi);
+                if b >= t_final {
+                    if b <= r.m.listed_above {
+                        influence.insert(cell, r.m.slot);
+                    }
+                } else if b >= r.m.listed_above {
+                    gone.push(r.m.slot);
                 }
-            } else if !r.m.keep_superset && b >= r.m.listed_above {
-                influence.remove(cell, r.m.slot);
+            }
+            if !gone.is_empty() {
+                gone.sort_unstable();
+                influence.sweep(cell, gone);
             }
         }
     }
@@ -599,6 +617,8 @@ pub struct ComputeScratch {
     /// Indices of the members still traversing, reused across group
     /// computations.
     pub(crate) active: Vec<u32>,
+    /// Members leaving one cell in the group influence post-pass.
+    gone: Vec<QuerySlot>,
 }
 
 impl ComputeScratch {
@@ -612,6 +632,7 @@ impl ComputeScratch {
             popped: Vec::new(),
             runs: Vec::new(),
             active: Vec::new(),
+            gone: Vec::new(),
         }
     }
 
@@ -624,6 +645,7 @@ impl ComputeScratch {
             + self.popped.capacity() * std::mem::size_of::<(f64, CellId)>()
             + self.runs.capacity() * std::mem::size_of::<GroupRun>()
             + self.active.capacity() * std::mem::size_of::<u32>()
+            + self.gone.capacity() * std::mem::size_of::<QuerySlot>()
     }
 }
 

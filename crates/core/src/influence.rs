@@ -54,7 +54,7 @@ pub fn cleanup_from_frontier(
     let mut visited = 0;
     while let Some(cell) = frontier.pop() {
         visited += 1;
-        if !influence.remove(cell, slot) {
+        if !influence.sweep(cell, &[slot]) {
             // The query never influenced this cell: nothing below it can be
             // stale either (influence regions are upward-closed).
             continue;
@@ -75,7 +75,9 @@ pub fn cleanup_from_frontier(
 /// [`cleanup_from_frontier`], it requires `scratch.stamps` to still be in
 /// the epoch of that group traversal: the marks stop the walk from
 /// re-entering the freshly processed envelope, whose stale entries the
-/// group's influence post-pass already removed. Returns cells visited.
+/// group's influence post-pass already removed. `slots` must be sorted
+/// ascending: each visited cell drops all of them in one pass over its
+/// list. Returns cells visited.
 // lint: hot-path
 pub fn cleanup_group_from_frontier(
     grid: &Grid,
@@ -90,13 +92,7 @@ pub fn cleanup_group_from_frontier(
     let mut visited = 0;
     while let Some(cell) = frontier.pop() {
         visited += 1;
-        let mut any = false;
-        for &slot in slots {
-            // No short-circuit: every member's stale entry in this cell
-            // must go, not just the first one found.
-            any |= influence.remove(cell, slot);
-        }
-        if any {
+        if influence.sweep(cell, slots) {
             push_worse_neighbours(grid, stamps, f, None, cell, frontier);
         }
     }

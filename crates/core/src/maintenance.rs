@@ -58,6 +58,12 @@
 //! never hides a result candidate, and the recompute-on-expiry path
 //! restores exactness for whatever the burst displaced — the differential
 //! suite pins sharded and unsharded results to the oracle either way.
+//!
+//! Influence regions follow the window's growth: a query whose region was
+//! sized over a much smaller window than the current one — typically one
+//! registered before the data arrived — is resynced by an ordinary
+//! from-scratch recomputation (the `outgrown` rule), so cold
+//! registrations settle at the probe rate and footprint of warm ones.
 
 use crate::compute::{
     compute_topk, compute_topk_group, ComputeScratch, ComputeStats, GroupMember, GroupOutcome,
@@ -72,8 +78,9 @@ use crate::result::TopList;
 use crate::stats::EngineStats;
 use tkm_common::{
     Monotonicity, OrderedF64, QueryId, QuerySlot, Result, ScoreFn, Scored, TkmError, TupleId,
+    MAX_DIMS,
 };
-use tkm_grid::InfluenceTable;
+use tkm_grid::{CellId, Grid, InfluenceTable};
 use tkm_skyband::{tuned_kmax, Skyband};
 use tkm_window::Window;
 
@@ -127,6 +134,18 @@ pub trait QueryMaintenance: Send {
     /// With batching off every fallback recomputes solo — the reference
     /// behaviour the differential suite compares the batched path against.
     fn set_batched_recompute(&mut self, on: bool);
+
+    /// Validates the per-query invariants against `shared`'s grid, for
+    /// tests and debugging; O(queries × cells). Two properties:
+    ///
+    /// * every query is listed in each cell whose traversal key lies
+    ///   strictly above its region bound (influence regions are
+    ///   upward-closed, and a listing is never missing inside one);
+    /// * every band / skyband entry scores at least the query's admission
+    ///   threshold.
+    ///
+    /// Returns [`TkmError::Internal`] naming the first breach.
+    fn check_invariants(&self, shared: &IngestState) -> Result<()>;
 }
 
 /// Cap on the member count of one shared recomputation traversal.
@@ -193,6 +212,102 @@ fn absorb_compute(stats: &mut EngineStats, cs: ComputeStats) {
     stats.heap_pushes += cs.heap_pushes;
 }
 
+/// The traversal key of `cell` for `query` — the cell's maxscore, clipped to
+/// the constraint box for a constrained query — exactly as the computation
+/// module orders its heap; `None` for cells a constrained traversal never
+/// visits.
+fn traversal_key(grid: &Grid, query: &Query, cell: CellId) -> Option<f64> {
+    let (cell_lo, cell_hi) = grid.cell_lo_hi(cell);
+    let Some(r) = query.constraint.as_ref() else {
+        return Some(kernel::cell_bound(&query.f, cell_lo, cell_hi));
+    };
+    let (range_lo, range_hi) = grid.cell_range(r);
+    let at = grid.cell_coords(cell);
+    let dims = grid.dims();
+    if (0..dims).any(|d| at[d] < range_lo[d] || at[d] > range_hi[d]) {
+        return None;
+    }
+    let mut lo = [0.0f64; MAX_DIMS];
+    let mut hi = [0.0f64; MAX_DIMS];
+    for d in 0..dims {
+        lo[d] = cell_lo[d].max(r.lo()[d]);
+        hi[d] = cell_hi[d].min(r.hi()[d]);
+        if lo[d] > hi[d] {
+            return Some(f64::NEG_INFINITY);
+        }
+    }
+    Some(kernel::cell_bound(&query.f, &lo[..dims], &hi[..dims]))
+}
+
+/// One query's half of [`QueryMaintenance::check_invariants`].
+fn check_query(
+    grid: &Grid,
+    influence: &InfluenceTable,
+    (id, slot): (QueryId, QuerySlot),
+    query: &Query,
+    region_bound: f64,
+    (band, admit): (&Skyband, f64),
+) -> Result<()> {
+    if let Some(e) = band.scored().iter().find(|e| e.score.get() < admit) {
+        return Err(TkmError::Internal(format!(
+            "query {id}: entry {:?} scores {} below its admission threshold {admit}",
+            e.id,
+            e.score.get()
+        )));
+    }
+    for cell in (0..grid.num_cells() as u32).map(CellId) {
+        match traversal_key(grid, query, cell) {
+            Some(key) if key > region_bound && !influence.contains(cell, slot) => {
+                return Err(TkmError::Internal(format!(
+                    "query {id}: cell {} (key {key}) lies above region bound \
+                     {region_bound} but does not list the query",
+                    cell.0
+                )));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Growth-resync rule: whether a query whose influence region was assigned
+/// (at its last resync) over a window of `region_len` tuples holds a region
+/// sized for a much sparser window than the current one. `depth` is the
+/// number of candidates the query keeps (k for SMA, `k_max` for TMA).
+///
+/// A region is bounded by the `depth`-th score of its computation. Over a
+/// filling window — a query registered before the data arrived — that
+/// bound sits far below the steady-state one, and neither engine would
+/// ever shrink it again: SMA's skyband never turns deficient, and the
+/// monotone region floor pins whatever the next traversal finds.
+///
+/// The rule compares the window with `base`, the larger of `region_len`
+/// and `16 × depth`. The floor leaves small windows alone: while a window
+/// holds only a few dozen candidates per result slot, probing all of it
+/// costs about as much as the extra deficiency recomputations a tight
+/// region brings (a region computed over fewer than `depth` tuples spans
+/// the whole grid, and its skyband, holding every candidate, never drains).
+/// Past the floor the rule fires
+///
+/// * while the window is still filling (no expiry this cycle), once it
+///   holds more than `4 × base` tuples — a few geometric steps keep the
+///   fill cheap;
+/// * once the window expires tuples (a full count window, a time window
+///   spanning its duration), as soon as it holds more than `1.25 × base`
+///   — so the region a query settles with is sized for at least 80% of
+///   the window a warm registration sees.
+///
+/// Warm registrations and steady-state windows never meet it.
+fn outgrown(region_len: usize, depth: usize, shared: &IngestState) -> bool {
+    let len = shared.window().len();
+    let base = region_len.max(16 * depth);
+    if shared.expiry_events().is_empty() {
+        len > 4 * base
+    } else {
+        4 * len > 5 * base
+    }
+}
+
 #[derive(Debug)]
 struct TmaQuery {
     query: Query,
@@ -203,21 +318,26 @@ struct TmaQuery {
     /// Dominance parameter of `band` ([`tuned_kmax`] of `query.k`).
     kmax: usize,
     /// Admission threshold: the `k_max`-th score at the last from-scratch
-    /// computation (−∞ while the window cannot fill the band). Every band
-    /// entry scores ≥ this, so while the band holds ≥ k entries its
-    /// prefix is provably the exact top-k.
+    /// computation, or −∞ when that computation found fewer than `k_max`
+    /// candidates (as it does for a query registered before data
+    /// arrives). Every band entry scores ≥ this, so while the band holds
+    /// ≥ k entries its prefix is provably the exact top-k.
     ///
     /// The threshold is *static between recomputations* (that is what
     /// makes the exactness argument a one-liner), so a band started over a
-    /// sparse window admits generously until the next traversal tightens
-    /// it — see [`TmaMaintenance::fat_cap`].
+    /// sparse window admits generously until a traversal tightens it: the
+    /// band-size cap ([`TmaMaintenance::fat_cap`]) bounds the band, the
+    /// growth resync ([`outgrown`]) the influence region.
     admit: f64,
+    /// Window length when `region_bound` was last assigned — the last
+    /// resync (see [`outgrown`]).
+    region_len: usize,
     /// Recycled top-list buffers for recomputations.
     rec: TopList,
     affected: bool,
     /// Monotone floor of [`ComputeOutcome::region_bound`] over the
-    /// computations since the last *resync* (a traversal that underfilled
-    /// the band): cells with traversal keys strictly above this already
+    /// computations since the last *resync* (see [`TmaQuery::resyncs`]):
+    /// cells with traversal keys strictly above this already
     /// carry the slot. Recomputations only lower it — a tightening
     /// traversal keeps the old superset listing instead of shrinking the
     /// region, so alternating thresholds stop churning the influence
@@ -225,6 +345,16 @@ struct TmaQuery {
     ///
     /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
     region_bound: f64,
+}
+
+impl TmaQuery {
+    /// Whether the next computation must *resync* — assign its fresh
+    /// region bound and sweep the stale band — rather than floor the
+    /// bound: the last computation under-filled the band, or its region
+    /// was sized for a much sparser window.
+    fn resyncs(&self, shared: &IngestState) -> bool {
+        self.admit == f64::NEG_INFINITY || outgrown(self.region_len, self.kmax, shared)
+    }
 }
 
 /// TMA maintenance (paper Figure 9) with `k_max` skyband refill as the
@@ -298,13 +428,14 @@ impl TmaMaintenance {
     ) {
         // Resync (assign the fresh bound and sweep the stale band) only
         // when the previous traversal underfilled the band — registration,
-        // or a window drained below k_max. Otherwise the region bound is a
-        // monotone floor: a tightening recomputation keeps the old, larger
-        // listing (a superset region is sound — arrivals in the extra
-        // cells fail the admission test, expirations miss the band — it
-        // only costs replay probes), so a threshold flip-flop between
-        // recomputations stops churning the influence lists.
-        let resync = st.admit == f64::NEG_INFINITY;
+        // or a window drained below k_max — or the window has outgrown
+        // the region. Otherwise the region bound is a monotone floor: a
+        // tightening recomputation keeps the old, larger listing (a
+        // superset region is sound — arrivals in the extra cells fail the
+        // admission test, expirations miss the band — it only costs
+        // replay probes), so a threshold flip-flop between recomputations
+        // stops churning the influence lists.
+        let resync = st.resyncs(shared);
         let out = compute_topk(
             shared.grid(),
             scratch,
@@ -333,6 +464,7 @@ impl TmaMaintenance {
         st.rec = out.top;
         if resync {
             st.region_bound = out.region_bound;
+            st.region_len = shared.window().len();
             stats.cleanup_cells += cleanup_from_frontier(
                 shared.grid(),
                 influence,
@@ -349,11 +481,11 @@ impl TmaMaintenance {
     /// Band-size cap above which a *tightening* recomputation fires even
     /// though the band is healthy. The admission threshold is static
     /// between recomputations, so a query registered over a sparse window
-    /// (admit −∞) would otherwise admit every arrival forever and its
-    /// influence region would never shrink from the registration-time
-    /// flood. The cap bounds both: one traversal resets the band to
-    /// ~`k_max` entries and raises the threshold to the `k_max`-th score
-    /// (the admit-−∞ trigger also makes that traversal a *resync*, so the
+    /// (admit −∞) would otherwise admit every arrival into its band until
+    /// the growth resync ([`outgrown`]) fires — never, on a window below
+    /// that rule's floor. One traversal resets the band to ~`k_max`
+    /// entries and raises the threshold to the `k_max`-th score (the
+    /// admit-−∞ trigger also makes that traversal a *resync*, so the
     /// flood-sized influence region is swept rather than floored).
     fn fat_cap(kmax: usize) -> usize {
         2 * kmax + 8
@@ -363,10 +495,12 @@ impl TmaMaintenance {
     /// the band can no longer serve an exact k-prefix while the window
     /// could supply more candidates (when the band holds the *whole*
     /// window it is exact by construction, however small), or the band
-    /// outgrew [`Self::fat_cap`] and wants its threshold tightened.
+    /// outgrew [`Self::fat_cap`] and wants its threshold tightened, or
+    /// the window outgrew the query's region (a growth resync).
     fn needs_recompute(st: &TmaQuery, shared: &IngestState) -> bool {
         (st.band.len() < st.query.k && st.band.len() < shared.window().len())
             || st.band.len() > Self::fat_cap(st.kmax)
+            || outgrown(st.region_len, st.kmax, shared)
     }
 }
 
@@ -402,6 +536,7 @@ impl QueryMaintenance for TmaMaintenance {
                 band,
                 kmax,
                 admit: f64::NEG_INFINITY,
+                region_len: 0,
                 rec: TopList::default(),
                 affected: false,
                 region_bound: f64::INFINITY,
@@ -496,9 +631,13 @@ impl QueryMaintenance for TmaMaintenance {
                 );
                 if stored > 0 {
                     stats.result_updates += stored;
-                    // A band past the cap schedules a tightening
-                    // recomputation (checked with the deficient ones).
-                    if st.band.len() > Self::fat_cap(st.kmax) && !st.affected {
+                    // A band past the cap, or a region the window has
+                    // outgrown, schedules a tightening recomputation
+                    // (checked with the deficient ones).
+                    if !st.affected
+                        && (st.band.len() > Self::fat_cap(st.kmax)
+                            || outgrown(st.region_len, st.kmax, shared))
+                    {
                         st.affected = true;
                         affected.push(slot);
                     }
@@ -587,7 +726,14 @@ impl QueryMaintenance for TmaMaintenance {
             }
         }
 
-        pending.sort_unstable_by_key(|&(slot, sig, depth)| (sig, std::cmp::Reverse(depth), slot.0));
+        // Within a depth, slots descend: when a mass resync sweeps many
+        // members out of the same long lists (queries registered on an
+        // empty window all list every cell), each chunk's members are the
+        // highest slots left, at the tail of every sorted list — so each
+        // sweep touches only that tail (see `InfluenceTable::sweep`).
+        pending.sort_unstable_by_key(|&(slot, sig, depth)| {
+            (sig, std::cmp::Reverse(depth), std::cmp::Reverse(slot.0))
+        });
         let mut i = 0;
         while i < pending.len() {
             let sig = pending[i].1;
@@ -609,9 +755,9 @@ impl QueryMaintenance for TmaMaintenance {
             } else {
                 members.clear();
                 // `group_slots` collects only the members that resync
-                // (previous traversal underfilled: admit −∞); everyone
-                // else keeps their superset listing (monotone region
-                // floor, see `recompute`) and needs no frontier sweep.
+                // (see `TmaQuery::resyncs`); everyone else keeps their
+                // superset listing (monotone region floor, see
+                // `recompute`) and needs no frontier sweep.
                 group_slots.clear();
                 let mut walk_f: Option<ScoreFn> = None;
                 let mut total = 0u64;
@@ -621,7 +767,7 @@ impl QueryMaintenance for TmaMaintenance {
                         // lint: allow(alloc, reason=one O(dims) coefficient copy per refill group, amortised by the traversal it seeds)
                         walk_f = Some(st.query.f.clone());
                     }
-                    let resync = st.admit == f64::NEG_INFINITY;
+                    let resync = st.resyncs(shared);
                     members.push(GroupMember {
                         slot,
                         // lint: allow(alloc, reason=one O(dims) coefficient copy per member per refill, amortised by the shared traversal)
@@ -644,6 +790,7 @@ impl QueryMaintenance for TmaMaintenance {
                 absorb_compute(stats, gstats);
                 debug_assert!(walk_f.is_some() || group_slots.is_empty());
                 if let Some(walk) = walk_f.as_ref().filter(|_| !group_slots.is_empty()) {
+                    group_slots.sort_unstable();
                     stats.cleanup_cells += cleanup_group_from_frontier(
                         shared.grid(),
                         influence,
@@ -658,13 +805,13 @@ impl QueryMaintenance for TmaMaintenance {
                     seed.extend_from_slice(out.top.as_slice());
                     seed.extend_from_slice(&out.boundary_ties);
                     st.band.rebuild(seed);
-                    let resync = st.admit == f64::NEG_INFINITY;
-                    st.admit = out.top.threshold();
-                    st.region_bound = if resync {
-                        out.region_bound
+                    if st.resyncs(shared) {
+                        st.region_bound = out.region_bound;
+                        st.region_len = shared.window().len();
                     } else {
-                        st.region_bound.min(out.region_bound)
-                    };
+                        st.region_bound = st.region_bound.min(out.region_bound);
+                    }
+                    st.admit = out.top.threshold();
                     st.rec = out.top;
                 }
             }
@@ -731,6 +878,20 @@ impl QueryMaintenance for TmaMaintenance {
     fn set_batched_recompute(&mut self, on: bool) {
         self.batched = on;
     }
+
+    fn check_invariants(&self, shared: &IngestState) -> Result<()> {
+        for (slot, id, st) in self.queries.slots() {
+            check_query(
+                shared.grid(),
+                &self.influence,
+                (id, slot),
+                &st.query,
+                st.region_bound,
+                (&st.band, st.admit),
+            )?;
+        }
+        Ok(())
+    }
 }
 
 #[derive(Debug)]
@@ -744,10 +905,29 @@ struct SmaQuery {
     ///
     /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
     region_bound: f64,
-    /// k-th score at the last from-scratch computation; the skyband
-    /// admission threshold (−∞ until the window holds k candidates).
+    /// k-th score at the last from-scratch computation: the skyband
+    /// admission threshold. It is −∞ when that computation found fewer
+    /// than k candidates (the window, or the constraint box, held fewer
+    /// than k tuples — always so for a query registered before data
+    /// arrives). The traversal then listed the query in every cell, every
+    /// arrival is admitted, and the skyband is the k-skyband of the whole
+    /// window, which never turns deficient; only a growth resync
+    /// ([`outgrown`]) ends that state.
     top_score: f64,
+    /// Window length when `region_bound` was last assigned — the last
+    /// resync (see [`outgrown`]).
+    region_len: usize,
     touched: bool,
+}
+
+impl SmaQuery {
+    /// Whether the next computation must *resync* — assign its fresh
+    /// region bound and sweep the stale band — rather than floor the
+    /// bound: the last computation under-filled the skyband, or its
+    /// region was sized for a much sparser window.
+    fn resyncs(&self, shared: &IngestState) -> bool {
+        self.top_score == f64::NEG_INFINITY || outgrown(self.region_len, self.query.k, shared)
+    }
 }
 
 /// SMA maintenance (paper Figure 11): k-skyband upkeep in (score,
@@ -787,9 +967,9 @@ impl SmaMaintenance {
     ) {
         // Monotone region floor, as in the TMA engine: resync (assign the
         // fresh bound, sweep the stale band) only when the previous
-        // traversal underfilled the skyband; otherwise keep the superset
-        // listing and floor the bound.
-        let resync = st.top_score == f64::NEG_INFINITY;
+        // traversal underfilled the skyband or the window outgrew it;
+        // otherwise keep the superset listing and floor the bound.
+        let resync = st.resyncs(shared);
         let out = compute_topk(
             shared.grid(),
             scratch,
@@ -817,6 +997,7 @@ impl SmaMaintenance {
         st.top_score = out.top.threshold();
         if resync {
             st.region_bound = out.region_bound;
+            st.region_len = shared.window().len();
             stats.cleanup_cells += cleanup_from_frontier(
                 shared.grid(),
                 influence,
@@ -899,6 +1080,7 @@ impl QueryMaintenance for SmaMaintenance {
                 query,
                 region_bound: f64::INFINITY,
                 top_score: f64::NEG_INFINITY,
+                region_len: 0,
                 touched: false,
             },
         )?;
@@ -1029,14 +1211,17 @@ impl QueryMaintenance for SmaMaintenance {
         // Recompute only if the skyband lost too many entries AND the
         // window could supply more (a window smaller than k can never
         // fill the band — recomputing every tick would be wasted work,
-        // and the influence lists already cover the whole grid then).
-        // Unconstrained deficient queries are grouped by monotonicity
-        // signature and recomputed with one shared traversal per group.
+        // and the influence lists already cover the whole grid then), or
+        // if the window outgrew the query's region (a growth resync).
+        // Unconstrained queries are grouped by monotonicity signature and
+        // recomputed with one shared traversal per group.
         pending.clear();
         for &slot in affected.iter() {
             let (qid, st) = queries.slot_mut(slot);
             st.touched = false;
-            if st.skyband.is_deficient() && st.skyband.len() < shared.window().len() {
+            if (st.skyband.is_deficient() && st.skyband.len() < shared.window().len())
+                || outgrown(st.region_len, st.query.k, shared)
+            {
                 if *batched && st.query.constraint.is_none() {
                     pending.push((
                         slot,
@@ -1050,7 +1235,10 @@ impl QueryMaintenance for SmaMaintenance {
             changed.push(qid);
         }
 
-        pending.sort_unstable_by_key(|&(slot, sig, depth)| (sig, std::cmp::Reverse(depth), slot.0));
+        // Slots descend within a depth, as in the TMA engine.
+        pending.sort_unstable_by_key(|&(slot, sig, depth)| {
+            (sig, std::cmp::Reverse(depth), std::cmp::Reverse(slot.0))
+        });
         let mut i = 0;
         while i < pending.len() {
             let sig = pending[i].1;
@@ -1083,7 +1271,7 @@ impl QueryMaintenance for SmaMaintenance {
                         // lint: allow(alloc, reason=one O(dims) coefficient copy per refill group, amortised by the traversal it seeds)
                         walk_f = Some(st.query.f.clone());
                     }
-                    let resync = st.top_score == f64::NEG_INFINITY;
+                    let resync = st.resyncs(shared);
                     members.push(GroupMember {
                         slot,
                         // lint: allow(alloc, reason=one O(dims) coefficient copy per member per refill, amortised by the shared traversal)
@@ -1106,6 +1294,7 @@ impl QueryMaintenance for SmaMaintenance {
                 absorb_compute(stats, gstats);
                 debug_assert!(walk_f.is_some() || group_slots.is_empty());
                 if let Some(walk) = walk_f.as_ref().filter(|_| !group_slots.is_empty()) {
+                    group_slots.sort_unstable();
                     stats.cleanup_cells += cleanup_group_from_frontier(
                         shared.grid(),
                         influence,
@@ -1120,13 +1309,13 @@ impl QueryMaintenance for SmaMaintenance {
                     seed.extend_from_slice(out.top.as_slice());
                     seed.extend_from_slice(&out.boundary_ties);
                     st.skyband.rebuild(seed);
-                    let resync = st.top_score == f64::NEG_INFINITY;
-                    st.top_score = out.top.threshold();
-                    st.region_bound = if resync {
-                        out.region_bound
+                    if st.resyncs(shared) {
+                        st.region_bound = out.region_bound;
+                        st.region_len = shared.window().len();
                     } else {
-                        st.region_bound.min(out.region_bound)
-                    };
+                        st.region_bound = st.region_bound.min(out.region_bound);
+                    }
+                    st.top_score = out.top.threshold();
                 }
             }
             i = j;
@@ -1192,5 +1381,19 @@ impl QueryMaintenance for SmaMaintenance {
 
     fn set_batched_recompute(&mut self, on: bool) {
         self.batched = on;
+    }
+
+    fn check_invariants(&self, shared: &IngestState) -> Result<()> {
+        for (slot, id, st) in self.queries.slots() {
+            check_query(
+                shared.grid(),
+                &self.influence,
+                (id, slot),
+                &st.query,
+                st.region_bound,
+                (&st.skyband, st.top_score),
+            )?;
+        }
+        Ok(())
     }
 }

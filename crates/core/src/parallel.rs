@@ -341,6 +341,14 @@ impl<M: QueryMaintenance> SharedParallelMonitor<M> {
     pub fn shard_loads(&self) -> &[usize] {
         &self.load
     }
+
+    /// Validates every shard's per-query invariants against the shared
+    /// grid (see [`QueryMaintenance::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<()> {
+        self.shards
+            .iter()
+            .try_for_each(|s| s.check_invariants(&self.shared))
+    }
 }
 
 impl<M: QueryMaintenance> ContinuousTopK for SharedParallelMonitor<M> {

@@ -150,6 +150,14 @@ impl<T> QueryRegistry<T> {
         self.slots.iter().flatten().map(|e| (e.id, &e.state))
     }
 
+    /// Iterates live `(QuerySlot, QueryId, &state)` triples in slot order.
+    pub fn slots(&self) -> impl Iterator<Item = (QuerySlot, QueryId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|e| (QuerySlot(i as u32), e.id, &e.state)))
+    }
+
     /// Iterates live states mutably, in slot order.
     pub fn states_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten().map(|e| &mut e.state)

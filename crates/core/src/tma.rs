@@ -175,6 +175,12 @@ impl TmaMonitor {
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.shared.space_bytes() + self.maint.space_bytes()
     }
+
+    /// Validates the influence-region and admission invariants of every
+    /// query (see [`QueryMaintenance::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<()> {
+        self.maint.check_invariants(&self.shared)
+    }
 }
 
 #[cfg(test)]

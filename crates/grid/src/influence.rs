@@ -38,6 +38,24 @@ pub const INLINE_CAP: usize = 3;
 /// exceeds this many slots.
 pub const RETAIN_CAP: usize = 64;
 
+/// `v.partition_point(|x| *x < q)` for an ascending `v`, searched from the
+/// tail with doubling steps: sweeps remove the highest slots of long
+/// lists, so the answer sits near the end and the search touches only the
+/// list's last cache lines instead of a binary search's spread of misses.
+fn tail_partition(v: &[QuerySlot], q: QuerySlot) -> usize {
+    // Invariant: every entry of `v[hi..]` is ≥ `q`.
+    let (mut hi, mut step) = (v.len(), 1);
+    while hi > 0 {
+        let lo = hi.saturating_sub(step);
+        if v[lo] < q {
+            return lo + 1 + v[lo + 1..hi].partition_point(|x| *x < q);
+        }
+        hi = lo;
+        step *= 2;
+    }
+    0
+}
+
 /// One cell's influence list: a sorted set of dense query slots.
 #[derive(Debug)]
 enum CellList {
@@ -119,18 +137,79 @@ impl CellList {
                     return false;
                 };
                 v.remove(pos);
-                // Hysteresis: keep the buffer for the next re-expansion
-                // unless it grew genuinely large.
-                if v.len() <= INLINE_CAP && v.capacity() > RETAIN_CAP {
-                    let mut ids = [QuerySlot(0); INLINE_CAP];
-                    ids[..v.len()].copy_from_slice(v);
-                    *self = CellList::Inline {
-                        len: v.len() as u8,
-                        ids,
-                    };
-                }
+                self.settle(RETAIN_CAP);
                 true
             }
+        }
+    }
+
+    /// Removes every slot of `qs` (sorted ascending) from the list in one
+    /// pass, then trims the buffer without hysteresis; returns whether any
+    /// was present.
+    fn sweep(&mut self, qs: &[QuerySlot]) -> bool {
+        let removed = match self {
+            CellList::Inline { len, ids } => {
+                let n = *len as usize;
+                let mut kept = 0;
+                for i in 0..n {
+                    if qs.binary_search(&ids[i]).is_err() {
+                        ids[kept] = ids[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+                kept < n
+            }
+            CellList::Spilled(v) => {
+                // Compact only the suffix from the first candidate on (a
+                // two-pointer merge: both lists ascend), so sweeping the
+                // highest slots of a long list costs only its tail.
+                let n = v.len();
+                let start = qs.first().map_or(n, |&q0| tail_partition(v, q0));
+                let (mut kept, mut j) = (start, 0);
+                for i in start..n {
+                    let q = v[i];
+                    while j < qs.len() && qs[j] < q {
+                        j += 1;
+                    }
+                    if qs.get(j) != Some(&q) {
+                        v[kept] = q;
+                        kept += 1;
+                    }
+                }
+                v.truncate(kept);
+                kept < n
+            }
+        };
+        if removed {
+            self.settle(0);
+        }
+        removed
+    }
+
+    /// Shrinks a spilled list's buffer after removals. Buffers of at most
+    /// `retain` slots are kept for the next re-expansion; a larger one
+    /// goes back inline once the list fits there, and is cut to twice the
+    /// list (but kept above `retain`, so the inline rule still frees it
+    /// later) whenever the list falls to a quarter of it. Regions that
+    /// shrank for good — registration-time floods swept back to
+    /// steady-state regions — must not pin their peak footprint.
+    fn settle(&mut self, retain: usize) {
+        let CellList::Spilled(v) = self else {
+            return;
+        };
+        if v.capacity() <= retain {
+            return;
+        }
+        if v.len() <= INLINE_CAP {
+            let mut ids = [QuerySlot(0); INLINE_CAP];
+            ids[..v.len()].copy_from_slice(v);
+            *self = CellList::Inline {
+                len: v.len() as u8,
+                ids,
+            };
+        } else if v.capacity() >= 4 * v.len() {
+            v.shrink_to((2 * v.len()).max(retain + 1));
         }
     }
 
@@ -173,9 +252,23 @@ impl InfluenceTable {
     /// Deregisters a query slot from the cell; returns `true` if it was
     /// present. Shrunk lists retain their allocation below the
     /// [`RETAIN_CAP`] hysteresis threshold (boundary cells flip between
-    /// empty and occupied every few ticks under a sliding window).
+    /// empty and occupied every few ticks under a sliding window); larger
+    /// buffers are cut to twice the list whenever it falls to a quarter of
+    /// them.
     pub fn remove(&mut self, cell: CellId, q: QuerySlot) -> bool {
         self.cells[cell.0 as usize].remove(q)
+    }
+
+    /// Deregisters every slot of `qs` (sorted ascending, no duplicates)
+    /// from the cell in one pass over its list, for the clean-up walks
+    /// that sweep a stale band after a resync: many members may leave the
+    /// same long lists at once, and the band is gone for good, so the
+    /// buffer is trimmed without the [`Self::remove`] hysteresis. The pass
+    /// starts at the first of `qs`, so sweeping the highest slots of a
+    /// list touches only its tail. Returns `true` if any slot was present.
+    pub fn sweep(&mut self, cell: CellId, qs: &[QuerySlot]) -> bool {
+        debug_assert!(qs.windows(2).all(|w| w[0] < w[1]), "qs must be sorted");
+        self.cells[cell.0 as usize].sweep(qs)
     }
 
     /// Whether the query slot is registered in this cell.
@@ -327,6 +420,85 @@ mod tests {
             InfluenceTable::new(1).space_bytes(),
             "list is inline again"
         );
+    }
+
+    /// A sweep removes what one-by-one removal does, inline and spilled.
+    #[test]
+    fn sweep_matches_single_removes() {
+        for n in [2u32, INLINE_CAP as u32, 40, RETAIN_CAP as u32 * 3] {
+            let mut a = InfluenceTable::new(1);
+            let mut b = InfluenceTable::new(1);
+            for q in 0..n {
+                a.insert(CellId(0), QuerySlot(q * 2));
+                b.insert(CellId(0), QuerySlot(q * 2));
+            }
+            // Every third present slot plus absent odd slots.
+            let qs: Vec<QuerySlot> = (0..2 * n).filter(|q| q % 3 == 0).map(QuerySlot).collect();
+            let mut any = false;
+            for &q in &qs {
+                any |= b.remove(CellId(0), q);
+            }
+            assert_eq!(a.sweep(CellId(0), &qs), any);
+            assert_eq!(a.as_slice(CellId(0)), b.as_slice(CellId(0)), "n = {n}");
+            assert!(a.space_bytes() <= b.space_bytes(), "n = {n}");
+        }
+        let mut t = InfluenceTable::new(1);
+        t.insert(CellId(0), QuerySlot(4));
+        assert!(!t.sweep(CellId(0), &[QuerySlot(1), QuerySlot(5)]));
+    }
+
+    #[test]
+    fn tail_partition_matches_partition_point() {
+        let v: Vec<QuerySlot> = (0..200u32).map(|q| QuerySlot(q * 3)).collect();
+        for n in [0, 1, 2, 7, 64, 200] {
+            for q in 0..620u32 {
+                let q = QuerySlot(q);
+                assert_eq!(
+                    tail_partition(&v[..n], q),
+                    v[..n].partition_point(|x| *x < q),
+                    "n = {n}, q = {q:?}"
+                );
+            }
+        }
+    }
+
+    /// A sweep keeps no hysteresis buffer: a flooded cell swept back to
+    /// inline size is inline again.
+    #[test]
+    fn sweep_releases_small_buffers() {
+        let mut t = InfluenceTable::new(1);
+        let all: Vec<QuerySlot> = (0..20).map(QuerySlot).collect();
+        for &q in &all {
+            t.insert(CellId(0), q);
+        }
+        assert!(t.sweep(CellId(0), &all[2..]));
+        assert_eq!(t.as_slice(CellId(0)), &all[..2]);
+        assert_eq!(t.space_bytes(), InfluenceTable::new(1).space_bytes());
+    }
+
+    /// A large list that shrinks but stays spilled gives its buffer back
+    /// down to about the hysteresis threshold.
+    #[test]
+    fn remove_halves_oversized_spilled_buffers() {
+        let mut t = InfluenceTable::new(1);
+        let n = RETAIN_CAP as u32 * 8;
+        for q in 0..n {
+            t.insert(CellId(0), QuerySlot(q));
+        }
+        let spilled = t.space_bytes();
+        let keep = RETAIN_CAP as u32 / 2;
+        for q in keep..n {
+            t.remove(CellId(0), QuerySlot(q));
+        }
+        assert_eq!(t.cell_len(CellId(0)), keep as usize);
+        let base = InfluenceTable::new(1).space_bytes();
+        assert!(
+            t.space_bytes() - base <= 2 * RETAIN_CAP * std::mem::size_of::<QuerySlot>(),
+            "buffer not halved back: {} of {} bytes retained",
+            t.space_bytes() - base,
+            spilled - base
+        );
+        assert!((0..keep).all(|q| t.contains(CellId(0), QuerySlot(q))));
     }
 
     #[test]

@@ -187,6 +187,10 @@ impl Skyband {
     /// list, so the DCs are exact; candidates with ≥ k dominators are not
     /// stored (they can never appear in a result) but still count as
     /// dominators of later candidates.
+    ///
+    /// A buffer above twice the rebuilt size (or `k`, or 8) — left by a
+    /// band that admitted every arrival over a sparse window — is cut
+    /// back to that.
     pub fn rebuild(&mut self, top: &[Scored]) {
         debug_assert!(
             top.windows(2).all(|w| w[0] > w[1]),
@@ -194,6 +198,11 @@ impl Skyband {
         );
         self.scored.clear();
         self.dcs.clear();
+        let keep = 2 * top.len().max(self.k).max(8);
+        if self.scored.capacity() > keep {
+            self.scored.shrink_to(keep);
+            self.dcs.shrink_to(keep);
+        }
         let mut arrivals = OsTree::new();
         self.min_id = TupleId(u64::MAX);
         for s in top {
@@ -455,6 +464,26 @@ mod tests {
         assert!(sky.is_deficient());
         assert_eq!(sky.kth(), None);
         assert_eq!(sky.top_scored().len(), 2);
+    }
+
+    /// A band that admitted a long run without dominance pruning (scores
+    /// falling with arrival order) gives its buffer back on rebuild.
+    #[test]
+    fn rebuild_releases_flood_capacity() {
+        let mut sky = Skyband::new(3).unwrap();
+        for i in 0..500u64 {
+            sky.insert(s(1.0 - i as f64 / 1000.0, i));
+        }
+        assert_eq!(sky.len(), 500);
+        let flooded = sky.space_bytes();
+        sky.rebuild(&[s(0.99, 600), s(0.98, 601), s(0.97, 602)]);
+        sky.check_invariants();
+        assert_eq!(sky.len(), 3);
+        assert!(
+            sky.space_bytes() * 8 < flooded,
+            "rebuild kept {} of {flooded} bytes",
+            sky.space_bytes()
+        );
     }
 
     #[test]
